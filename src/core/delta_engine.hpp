@@ -85,7 +85,22 @@ class DeltaEngine {
 
  private:
   // -- epoch structure ----------------------------------------------------
-  std::uint64_t next_bucket(std::int64_t after);
+  /// Reduction payload of the bucket advance: the next bucket plus the
+  /// global settled count the hybrid switch reads, so the switch decision
+  /// rides the same fence.
+  struct BucketAdvance {
+    std::uint64_t bucket = kInfBucket;
+    std::uint64_t settled = 0;
+  };
+  struct BucketAdvanceOp {
+    BucketAdvance operator()(const BucketAdvance& a,
+                             const BucketAdvance& b) const {
+      return {std::min(a.bucket, b.bucket), a.settled + b.settled};
+    }
+  };
+  /// Collective: the minimum bucket above `after` holding an unsettled
+  /// reached vertex (kInfBucket when none) and the global settled count.
+  BucketAdvance next_bucket(std::int64_t after);
   void process_epoch(std::uint64_t k);
   void short_phases(std::uint64_t k);
   bool decide_long_mode(std::uint64_t k);
@@ -113,12 +128,17 @@ class DeltaEngine {
   };
 
   /// Collective per-superstep accounting: advances the modeled clock and
-  /// returns the reduced values (notably sum_relax for phase details).
+  /// returns the reduced values — sum_relax for phase details, and `any`:
+  /// whether some rank's frontier is non-empty after this step, the
+  /// activity check that ends a bucket's phase loop.
   StepReduce account_step(std::uint64_t work, std::uint64_t bytes,
                           std::uint64_t relax);
 
-  /// Collective frontier-emptiness check, charged to bucket overhead.
-  bool any_active_globally(bool local_active);
+  /// Charges the modeled cost of one global activity check (a bucket-level
+  /// allreduce). The checks themselves ride account_step or next_bucket,
+  /// or are skipped when their answer is known, but the modeled machine
+  /// still pays each one, so modeled time matches the paper's schedule.
+  void charge_activity_check();
 
   // -- relax data path (docs/PERFORMANCE.md) ------------------------------
 

@@ -15,6 +15,13 @@
 // MPI by replacing exchange() with MPI_Alltoallv and the collectives with
 // their MPI counterparts.
 //
+// Every exchange round and every collective costs exactly one fence (a
+// FenceBarrier wait): writes, one barrier, reads. Nothing releases the
+// board slots or the collective scratch after the reads; both are double
+// buffered by parity, so the next operation's fence does that job. Each
+// fence is counted once in the rank's TrafficCounters, which makes
+// SsspStats::global_syncs() the number of physical fence waits.
+//
 // Ownership discipline: a RankCtx is owned by the rank thread that Machine
 // spawned it on. Its traffic counters, exchange round counter, and pool
 // dispatch are single-owner state — worker lanes must not touch them. In
@@ -110,16 +117,18 @@ class RankCtx {
   /// Bulk-synchronous all-to-all: out[d] holds this rank's messages for rank
   /// d; the returned vector holds in[s], the messages rank s sent here.
   /// Self-addressed messages are delivered without touching the board (they
-  /// model intra-node work, not network traffic). Collective: every rank
-  /// must call exchange() the same number of times — enforced in checked
-  /// mode by stamping posts/takes with this rank's round counter.
+  /// model intra-node work, not network traffic). One fence per round:
+  /// post, barrier, take — the board's round-parity planes keep a fast
+  /// rank's next-round posts away from this round's takes. Collective:
+  /// every rank must call exchange() the same number of times — enforced in
+  /// checked mode by stamping posts/takes with this rank's round counter.
   template <typename T>
   std::vector<std::vector<T>> exchange(std::vector<std::vector<T>> out,
                                        PhaseKind kind) {
     static_assert(std::is_trivially_copyable_v<T>);
     check_owner("exchange()");
     ScopedSpan span(trace_, SpanCat::kExchange);
-    traffic_.barriers += 2;  // the post/take fences below
+    ++traffic_.barriers;  // the one fence between posts and takes
     const rank_t r = rank_;
     const rank_t ranks = num_ranks();
     const std::uint64_t round = ++exchange_round_;
@@ -144,7 +153,6 @@ class RankCtx {
         in[s] = ExchangeBoard::unpack<T>(board_.take(s, r, round));
       }
     }
-    collectives_.barrier();
     return in;
   }
 
@@ -164,7 +172,7 @@ class RankCtx {
     static_assert(std::is_trivially_copyable_v<T>);
     check_owner("exchange_pooled()");
     ScopedSpan span(trace_, SpanCat::kExchange);
-    traffic_.barriers += 2;  // the post/take fences below
+    ++traffic_.barriers;  // the one fence between posts and takes
     const rank_t r = rank_;
     const rank_t ranks = num_ranks();
     const unsigned lanes = pool.lanes();
@@ -201,7 +209,6 @@ class RankCtx {
         }
       }
     }
-    collectives_.barrier();
   }
 
   /// Reference-path counterpart of exchange_pooled(): merges the pool's

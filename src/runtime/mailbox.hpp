@@ -5,6 +5,13 @@
 // the two sides — so the board needs no locks, mirroring the paper's
 // lock-free SPI usage.
 //
+// One fence per exchange round: the board keeps two planes of slots and
+// round k uses plane k % 2. A round runs post -> barrier -> take with no
+// second barrier, so a fast rank may post round k+1 while a peer is still
+// taking round k — into the other plane. The plane round k used is posted
+// again only in round k+2, and before that post every rank has passed round
+// k+1's barrier, which it reaches only after its takes of round k.
+//
 // Payloads move through the board zero-copy: a slot holds a list of
 // ErasedBuffer segments, each a moved-in std::vector<T> (the sender's lane
 // shards, posted without merging), and take_segments() moves them back out.
@@ -15,23 +22,25 @@
 //
 // That safety argument is a *protocol*, not a property of the data
 // structure, so in checked mode (see runtime/protocol_check.hpp) the board
-// validates it with a per-slot epoch state machine:
+// validates it with an epoch state machine per (source, dest, plane):
 //
 //   posted == taken   : slot empty, the only state in which post() is legal
 //   posted == taken+1 : slot holds one round's payload, take() is legal
 //
 // post() advances `posted`, take() advances `taken`. Any other transition
 // is a protocol violation: a second post before the payload was consumed
-// (double post / cross-round leakage), a take of an empty slot (take before
-// the exchange barrier, or of a stale epoch), or out-of-range ranks. The
-// caller may additionally pass its own 1-based round number; a mismatch
-// against the slot epoch catches ranks whose exchange() calls have diverged
-// (a rank skipping or repeating a collective round). Taking a segment as
-// the wrong element type is always fatal, checked mode or not: it is type
-// confusion, not a timing bug. Epoch fields are themselves unsynchronized —
-// under the correct protocol they inherit the payload's barrier separation;
-// a violating program may race on them, but checked mode exists precisely
-// to abort such programs.
+// (a rank two rounds ahead of a peer, or cross-round leakage), a take of an
+// empty slot (take before the exchange barrier, or of a stale epoch), or
+// out-of-range ranks. The caller may additionally pass its own 1-based
+// round number, which selects the plane; a mismatch against the plane's
+// epoch catches ranks whose exchange() calls have diverged (a rank
+// skipping or repeating a collective round). Taking a segment as the wrong
+// element type is always fatal, checked mode or not: it is type confusion,
+// not a timing bug. Epoch fields are themselves unsynchronized — under the
+// correct protocol they inherit the payload's barrier separation, and a
+// round-k+1 post never touches the state a round-k take touches (they are
+// on different planes); a violating program may race on them, but checked
+// mode exists precisely to abort such programs.
 #pragma once
 
 #include <cstddef>
@@ -111,13 +120,15 @@ class ErasedBuffer {
 class ExchangeBoard {
  public:
   /// Round value meaning "caller does not track rounds" (direct board use).
+  /// It is odd, so such posts and takes share round 1's plane and see one
+  /// slot per (source, dest) pair.
   static constexpr std::uint64_t kAnyRound = ~std::uint64_t{0};
 
   explicit ExchangeBoard(rank_t num_ranks,
                          bool checked = checked_runtime_default())
       : num_ranks_(num_ranks),
         checked_(checked),
-        slots_(static_cast<std::size_t>(num_ranks) * num_ranks),
+        slots_(2 * static_cast<std::size_t>(num_ranks) * num_ranks),
         epochs_(checked ? slots_.size() : 0) {}
 
   rank_t num_ranks() const { return num_ranks_; }
@@ -125,23 +136,24 @@ class ExchangeBoard {
 
   /// Deposits `source`'s outgoing segments for `dest` — the zero-copy path:
   /// the vectors inside the segments move through the board untouched. Must
-  /// be called between the barriers of an exchange round, once per
+  /// be called before the barrier of an exchange round, once per
   /// destination at most; an empty segment list is a valid round payload
   /// (it still advances the slot epoch). `round` is the caller's 1-based
-  /// exchange round (kAnyRound to skip the cross-rank consistency check).
+  /// exchange round: it selects the slot plane, and in checked mode it is
+  /// matched against the plane's epoch (kAnyRound skips that match).
   void post_segments(rank_t source, rank_t dest,
                      std::vector<ErasedBuffer> segments,
                      std::uint64_t round = kAnyRound) {
     if (checked_) check_post(source, dest, round);
-    slots_[index(source, dest)] = std::move(segments);
+    slots_[index(source, dest, round)] = std::move(segments);
   }
 
-  /// Takes (moves out) the segments `source` sent to `dest`, leaving the
-  /// slot empty for the next round.
+  /// Takes (moves out) the segments `source` sent to `dest` in `round`,
+  /// leaving that slot empty for round + 2.
   std::vector<ErasedBuffer> take_segments(rank_t source, rank_t dest,
                                           std::uint64_t round = kAnyRound) {
     if (checked_) check_take(source, dest, round);
-    return std::exchange(slots_[index(source, dest)], {});
+    return std::exchange(slots_[index(source, dest, round)], {});
   }
 
   /// Byte-oriented compatibility API: one byte segment per round.
@@ -189,7 +201,8 @@ class ExchangeBoard {
   }
 
  private:
-  /// Per-slot protocol state; see the class comment for the state machine.
+  /// Per-(slot, plane) protocol state; see the file comment for the state
+  /// machine. Both fields count rounds on this plane only.
   struct SlotEpochs {
     std::uint64_t posted = 0;
     std::uint64_t taken = 0;
@@ -199,14 +212,16 @@ class ExchangeBoard {
   void check_take(rank_t source, rank_t dest, std::uint64_t round);
   void check_ranks(const char* op, rank_t source, rank_t dest) const;
 
-  std::size_t index(rank_t source, rank_t dest) const {
-    return static_cast<std::size_t>(source) * num_ranks_ + dest;
+  /// Slot of (source, dest) on the plane of `round` (round % 2).
+  std::size_t index(rank_t source, rank_t dest, std::uint64_t round) const {
+    return ((round & 1u) * num_ranks_ + source) * num_ranks_ + dest;
   }
 
   rank_t num_ranks_;
   bool checked_;
-  std::vector<std::vector<ErasedBuffer>> slots_;
-  std::vector<SlotEpochs> epochs_;  ///< empty unless checked_
+  std::vector<std::vector<ErasedBuffer>> slots_;  ///< two planes of R x R
+  /// Parallel to slots_; empty unless checked_.
+  std::vector<SlotEpochs> epochs_;
 };
 
 }  // namespace parsssp

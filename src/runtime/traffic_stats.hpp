@@ -39,15 +39,19 @@ std::string_view phase_kind_name(PhaseKind kind);
 /// asynchronous engine exists to eliminate (docs/ASYNC.md): every barrier
 /// and every collective a rank participates in is counted here, so a
 /// solve's synchronization cost is a first-class measured quantity
-/// (SsspStats::sync_allreduces / sync_barriers), not a guess.
+/// (SsspStats::sync_allreduces / sync_barriers), not a guess. Each
+/// collective and each exchange round is one physical fence wait, so
+/// global_syncs() counts exactly the fences this rank waited at.
 struct TrafficCounters {
   std::array<std::uint64_t, static_cast<std::size_t>(PhaseKind::kCount)>
       messages{};
   std::array<std::uint64_t, static_cast<std::size_t>(PhaseKind::kCount)>
       bytes{};
-  /// Collective reductions (allreduce/broadcast/allgather) entered.
+  /// Collective reductions (allreduce/broadcast/allgather) entered; one
+  /// fence each.
   std::uint64_t allreduces = 0;
-  /// Barrier waits entered, the two inside each exchange round included.
+  /// Fence waits outside collectives: plain barrier() calls plus the one
+  /// fence inside each exchange round.
   std::uint64_t barriers = 0;
 
   void add(PhaseKind kind, std::uint64_t msg_count, std::uint64_t byte_count) {

@@ -54,6 +54,55 @@ TEST(ExchangeProtocol, CrossRoundPostCaught) {
   EXPECT_THROW(board.post(0, 1, payload(1), /*round=*/5), ProtocolError);
 }
 
+// One fence per round: a fast rank posts round k+1 while a peer has not
+// taken round k yet. The two rounds live on different slot planes, so the
+// post is legal — but a round-k+2 post would overwrite round k's payload
+// and is caught.
+TEST(ExchangeProtocol, NextRoundPostAcceptedWhileRoundUntaken) {
+  ExchangeBoard board(2, /*checked=*/true);
+  board.post(0, 1, payload(1), /*round=*/1);
+  EXPECT_NO_THROW(board.post(0, 1, payload(2), /*round=*/2));
+  EXPECT_THROW(board.post(0, 1, payload(3), /*round=*/3), ProtocolError);
+}
+
+TEST(ExchangeProtocol, RoundsTwoApartShareAPlane) {
+  ExchangeBoard board(2, /*checked=*/true);
+  board.post(0, 1, payload(1), /*round=*/1);
+  board.post(0, 1, payload(2), /*round=*/2);
+  EXPECT_EQ(ExchangeBoard::unpack<int>(board.take(0, 1, 1)).at(0), 1);
+  // Round 1's plane is free again: round 3 may post before round 2 is
+  // taken, and every payload comes back in its own round.
+  board.post(0, 1, payload(3), /*round=*/3);
+  EXPECT_EQ(ExchangeBoard::unpack<int>(board.take(0, 1, 2)).at(0), 2);
+  EXPECT_EQ(ExchangeBoard::unpack<int>(board.take(0, 1, 3)).at(0), 3);
+}
+
+TEST(ExchangeProtocol, RepeatedAndSkippedRoundsCaught) {
+  {
+    ExchangeBoard board(2, /*checked=*/true);
+    board.post(0, 1, payload(1), /*round=*/1);
+    board.take(0, 1, /*round=*/1);
+    // The poster repeats round 1: its plane's next round is 3.
+    EXPECT_THROW(board.post(0, 1, payload(1), /*round=*/1), ProtocolError);
+  }
+  {
+    ExchangeBoard board(2, /*checked=*/true);
+    board.post(0, 1, payload(1), /*round=*/1);
+    board.take(0, 1, /*round=*/1);
+    // The poster skips round 2 and posts round 4 on round 2's plane.
+    EXPECT_THROW(board.post(0, 1, payload(4), /*round=*/4), ProtocolError);
+  }
+  {
+    ExchangeBoard board(2, /*checked=*/true);
+    board.post(0, 1, payload(1), /*round=*/1);
+    board.post(0, 1, payload(2), /*round=*/2);
+    // The receiver skips round 1 and takes round 2, then believes it is in
+    // round 3 and finds round 1's payload: a stale-epoch take.
+    board.take(0, 1, /*round=*/2);
+    EXPECT_THROW(board.take(0, 1, /*round=*/3), ProtocolError);
+  }
+}
+
 TEST(ExchangeProtocol, OutOfRangeRanksCaught) {
   ExchangeBoard board(2, /*checked=*/true);
   EXPECT_THROW(board.post(2, 0, payload(1)), ProtocolError);
