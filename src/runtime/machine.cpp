@@ -5,10 +5,12 @@
 namespace parsssp {
 
 Machine::Machine(MachineConfig config)
-    : config_(config), traffic_(config.num_ranks) {
-  if (config_.num_ranks == 0) config_.num_ranks = 1;
-  if (config_.lanes_per_rank == 0) config_.lanes_per_rank = 1;
-}
+    : config_([&] {
+        if (config.num_ranks == 0) config.num_ranks = 1;
+        if (config.lanes_per_rank == 0) config.lanes_per_rank = 1;
+        return config;
+      }()),
+      traffic_(config_.num_ranks) {}
 
 void Machine::run(const std::function<void(RankCtx&)>& job) {
   traffic_.reset();
