@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "core/hybrid.hpp"
+
 namespace parsssp {
 namespace {
 
@@ -43,6 +45,7 @@ AsyncEngine::AsyncEngine(RankCtx& ctx, const AsyncEngineShared& shared)
   }
   out_pool_.configure(/*lanes=*/1, ctx_.num_ranks());
   in_pending_.assign(nloc_, 0);
+  popped_.assign(nloc_, 0);
 
   sync0_allreduces_ = ctx_.traffic().allreduces;
   sync0_barriers_ = ctx_.traffic().barriers;
@@ -119,8 +122,13 @@ void AsyncEngine::relax_arcs(vid_t v, dist_t d, std::span<const Arc> arcs) {
 void AsyncEngine::relax_one_batch() {
   ensure_phase();
   pq_.pop_batch(batch_);
+  const std::uint64_t settled_before = settled_;
   for (const auto& [v, d] : batch_) {
     if (d != dist_[v]) continue;  // stale lazy entry, already improved
+    if (popped_[v] == 0) {
+      popped_[v] = 1;
+      ++settled_;
+    }
     // Delta-stepping's light/heavy split, asynchronously: a within-level
     // reactivation re-relaxes only the short arcs (the ones that can feed
     // the same level back); long arcs are deferred to close_level so each
@@ -132,6 +140,22 @@ void AsyncEngine::relax_one_batch() {
       long_pending_.push_back(v);
     }
   }
+  if (settled_ != settled_before) {
+    sh_.board->publish_settled(ctx_.rank(), settled_);
+  }
+}
+
+bool AsyncEngine::throttled(std::uint64_t next) {
+  if (tail_ || next <= sh_.board->global_min() + kSpeculationWindow) {
+    return false;
+  }
+  // OPT's hybridization (§III-D), asynchronously: past tau settled, the
+  // levels left hold little work each, and walking them one frontier hop
+  // at a time costs more than the re-relaxations an open window adds.
+  tail_ = should_switch_to_bellman_ford(sh_.board->settled_total(),
+                                        sh_.graph->num_vertices(),
+                                        sh_.options->hybrid_tau);
+  return !tail_;
 }
 
 bool AsyncEngine::close_level() {
@@ -208,7 +232,7 @@ void AsyncEngine::main_loop() {
     if (!pq_.empty()) {
       const std::uint64_t next = pq_.min_bucket();
       sh_.board->publish(self, next);
-      if (next > sh_.board->global_min() + kSpeculationWindow) {
+      if (throttled(next)) {
         // A peer's frontier is still below the window: relaxing this
         // bucket now is work that frontier is about to invalidate. Make
         // our own frontier visible to it, then yield — not a timed park:

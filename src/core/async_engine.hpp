@@ -19,16 +19,18 @@
 // any message schedule. Speculation is bounded by a shared LevelBoard
 // window (below): a rank more than kSpeculationWindow bucket levels ahead
 // of the slowest frontier parks instead of relaxing work that frontier is
-// about to invalidate. Termination is detected by a Safra-style token
-// ring (runtime/quiescence.hpp) riding the same channel as the payload.
+// about to invalidate. Once the settled fraction passes hybrid_tau the
+// window opens for good — the async form of OPT's Bellman-Ford tail.
+// Termination is detected by a Safra-style token ring
+// (runtime/quiescence.hpp) riding the same channel as the payload.
 //
 // Contract: distances are bit-identical to the bucket-synchronous OPT
 // engine's (both compute the exact SSSP); parents are canonicalized by the
 // caller (core/parent_canon.hpp) so they match too. The engine honors
-// delta (priority granularity), data_path (pooled buffer recycling vs the
-// allocate-per-round reference baseline) and track_parents; the
-// bucket-synchronous work-shaping knobs (pruning, ios, hybrid_tau, ...)
-// are inert here — see SsspOptions::async_opt.
+// delta (priority granularity), hybrid_tau (when the window opens),
+// data_path (pooled buffer recycling vs the allocate-per-round reference
+// baseline) and track_parents; the other bucket-synchronous work-shaping
+// knobs (pruning, ios, ...) are inert here — see SsspOptions::async_opt.
 #pragma once
 
 #include <algorithm>
@@ -60,7 +62,8 @@ namespace parsssp {
 /// correctness never depends on them — monotone re-relaxation is exact
 /// under any schedule. The board only steers the schedule toward the
 /// work-efficient one; the rank holding the minimum is never throttled,
-/// so it cannot stall progress either.
+/// so it cannot stall progress either. Each slot also carries its rank's
+/// settled count, which the hybrid tail sums.
 class LevelBoard {
  public:
   explicit LevelBoard(rank_t ranks) : slots_(ranks) {}
@@ -92,9 +95,24 @@ class LevelBoard {
     return m;
   }
 
+  /// Publishes how many of `rank`'s vertices it has settled so far (the
+  /// hybrid tail's input, like OPT's per-bucket settled count).
+  void publish_settled(rank_t rank, std::uint64_t settled) {
+    slots_[rank].settled.store(settled, std::memory_order_relaxed);
+  }
+
+  std::uint64_t settled_total() const {
+    std::uint64_t total = 0;
+    for (const Slot& s : slots_) {
+      total += s.settled.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
  private:
   struct alignas(64) Slot {  ///< own cache line: publish is hot-loop
     std::atomic<std::uint64_t> v{0};
+    std::atomic<std::uint64_t> settled{0};
   };
   std::vector<Slot> slots_;
 };
@@ -147,6 +165,9 @@ class AsyncEngine {
   /// shards were empty).
   bool flush_sends();
   void apply_local(vid_t local, dist_t nd, vid_t pred);
+  /// Whether the speculation window holds back a rank whose next level is
+  /// `next`; switches to the open-window tail once it is due.
+  bool throttled(std::uint64_t next);
   /// Final cross-rank stats reduction (the async path's one allreduce).
   void finalize();
 
@@ -181,6 +202,14 @@ class AsyncEngine {
   /// vertex reactivated within the level registers once.
   std::vector<vid_t> long_pending_;
   std::vector<std::uint8_t> in_pending_;
+  /// Vertices popped live at least once, and their count. While the
+  /// window is closed a live pop happens only at the global frontier
+  /// level, so this is the rank's settled count.
+  std::vector<std::uint8_t> popped_;
+  std::uint64_t settled_ = 0;
+  /// Set once the global settled fraction passes hybrid_tau: the window
+  /// stays open for the rest of the solve (the Bellman-Ford tail).
+  bool tail_ = false;
 
   RankCounters counters_;
   /// TrafficCounters sync tallies at construction; finalize() reports the

@@ -59,10 +59,12 @@ SsspOptions SsspOptions::async_opt(std::uint32_t delta) {
   o.delta = delta;
   // The bucket-synchronous work-shaping knobs are inert under kAsync;
   // keep them at their neutral settings so the signature reads honestly.
+  // hybrid_tau is not one of them: it opens the speculation window, and
+  // OPT's tau serves there as well.
   o.edge_classification = false;
   o.ios = false;
   o.pruning = false;
-  o.hybrid_tau = -1.0;
+  o.hybrid_tau = 0.4;
   return o;
 }
 

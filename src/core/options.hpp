@@ -41,9 +41,10 @@ enum class SsspAlgo : std::uint8_t {
   /// The barrier-free engine: ranks drain an inbound relax queue, keep a
   /// lazy-batched local priority structure, forward speculatively, and
   /// terminate via distributed quiescence detection. Ignores the
-  /// bucket-synchronous work-shaping knobs (pruning, ios, hybrid_tau,
+  /// bucket-synchronous work-shaping knobs (pruning, ios,
   /// heavy_degree_threshold, parallel_apply); honors delta (priority
-  /// granularity), data_path and track_parents. Parents are always
+  /// granularity), hybrid_tau (past it the speculation window opens),
+  /// data_path and track_parents. Parents are always
   /// canonicalized (core/parent_canon.hpp) so they stay a pure function
   /// of graph + dist.
   kAsync,
@@ -200,7 +201,8 @@ struct SsspOptions {
   static SsspOptions lb_opt(std::uint32_t delta,
                             std::size_t heavy_threshold = 256);
   /// ASYNC-D: the barrier-free engine (SsspAlgo::kAsync) at priority
-  /// granularity Delta. Distances bit-identical to opt(delta).
+  /// granularity Delta, hybrid tail at tau = 0.4. Distances bit-identical
+  /// to opt(delta).
   static SsspOptions async_opt(std::uint32_t delta);
   /// RHO: rho-stepping at batch target `rho`, queue granularity Delta.
   static SsspOptions rho_stepping(std::uint32_t rho = 2048,

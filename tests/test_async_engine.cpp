@@ -151,6 +151,23 @@ INSTANTIATE_TEST_SUITE_P(
                                                           : "_reference");
     });
 
+// The hybrid tail only opens the speculation window: tau = -1 never opens
+// it, tau = 0 opens it at the first throttle, tau = 1 never reaches it.
+// Every setting must stay exact; tau changes only how much work is redone.
+TEST(AsyncEngine, HybridTailKeepsDistancesExact) {
+  const std::vector<CsrGraph> graphs = {rmat_graph(),
+                                        CsrGraph::from_edges(make_grid(12))};
+  for (const CsrGraph& g : graphs) {
+    Solver solver(g, {.machine = {.num_ranks = 4}});
+    const std::vector<dist_t> want = solver.solve(0, SsspOptions::opt(2)).dist;
+    for (const double tau : {-1.0, 0.0, 0.4, 1.0}) {
+      SsspOptions async = SsspOptions::async_opt(2);
+      async.hybrid_tau = tau;
+      EXPECT_EQ(solver.solve(0, async).dist, want) << "tau=" << tau;
+    }
+  }
+}
+
 // --- Synchronization accounting -------------------------------------------
 
 TEST(AsyncEngine, ExactlyOneGlobalSyncPerSolve) {
