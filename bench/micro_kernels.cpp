@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) of the hot kernels: CSR construction,
-// view building, bucket scans, pull-request counting, relax application,
+// view building, bucket collection, pull-request counting, relax application,
 // collectives, and the full solve at small scale.
 #include <benchmark/benchmark.h>
 
@@ -57,20 +57,25 @@ void BM_ViewBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewBuild);
 
-void BM_BucketScan(benchmark::State& state) {
-  const CsrGraph& g = shared_graph();
-  std::vector<dist_t> dist(g.num_vertices());
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    dist[v] = (v * 37) % 2000;
-  }
-  const std::vector<char> settled(g.num_vertices(), 0);
+// ReachedSet::collect over one 4,096-vertex owned slice at two fills: every
+// 32nd vertex reached (sparse, a road grid's wavefront) and every vertex
+// reached (dense, an RMAT solve's few wide buckets). Items are owned
+// vertices, so the rate compares with a pass over the slice.
+void BM_ReachedCollect(benchmark::State& state) {
+  const vid_t n = shared_graph().num_vertices();
+  const auto stride = static_cast<vid_t>(state.range(0));
+  std::vector<dist_t> dist(n, kInfDist);
+  for (vid_t v = 0; v < n; v += stride) dist[v] = (v * 37) % 2000;
+  const std::vector<char> settled(n, 0);
+  ReachedSet set;
+  set.build(dist, settled, [](vid_t) { return std::uint64_t{0}; });
   for (auto _ : state) {
-    benchmark::DoNotOptimize(collect_bucket_members(dist, settled, 3, 25));
+    benchmark::DoNotOptimize(set.collect(dist, 3, 25));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.num_vertices()));
+                          static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_BucketScan);
+BENCHMARK(BM_ReachedCollect)->ArgName("stride")->Arg(32)->Arg(1);
 
 void BM_CountLongBelow(benchmark::State& state) {
   const CsrGraph& g = shared_graph();

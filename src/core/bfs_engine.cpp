@@ -58,8 +58,8 @@ BfsResult BfsSolver::solve(vid_t root, const BfsOptions& options) {
   machine_.run([&](RankCtx& ctx) {
     const rank_t r = ctx.rank();
     RankOut& out = outs[r];
-    // Accumulates into out.wall_s when the lambda returns (lint rule R8:
-    // wall-clock reads go through the obs/ timers).
+    // Accumulates into out.wall_s when the lambda returns (analyzer check
+    // A5: wall-clock reads go through the obs/ timers).
     PhaseTimer wall_timer(out.wall_s);
     const rank_t ranks = ctx.num_ranks();
     const vid_t begin = part_.begin(r);

@@ -2,40 +2,30 @@
 
 namespace parsssp {
 
-std::vector<vid_t> collect_bucket_members(std::span<const dist_t> dist_local,
-                                          std::span<const char> settled,
-                                          std::uint64_t k,
-                                          std::uint32_t delta) {
-  std::vector<vid_t> members;
-  for (vid_t local = 0; local < dist_local.size(); ++local) {
-    if (!settled[local] && bucket_of(dist_local[local], delta) == k) {
-      members.push_back(local);
-    }
-  }
-  return members;
-}
-
-std::uint64_t min_unsettled_bucket_above(std::span<const dist_t> dist_local,
-                                         std::span<const char> settled,
-                                         std::int64_t after,
-                                         std::uint32_t delta) {
+std::uint64_t ReachedSet::min_bucket_above(std::span<const dist_t> dist,
+                                           std::int64_t after,
+                                           std::uint32_t delta) const {
   std::uint64_t best = kInfBucket;
-  for (vid_t local = 0; local < dist_local.size(); ++local) {
-    if (settled[local] || dist_local[local] == kInfDist) continue;
-    const std::uint64_t b = bucket_of(dist_local[local], delta);
+  for_each([&](vid_t local) {
+    const std::uint64_t b = bucket_of(dist[local], delta);
     if (static_cast<std::int64_t>(b) > after && b < best) best = b;
-  }
+  });
   return best;
 }
 
-std::vector<vid_t> collect_unsettled_reached(
-    std::span<const dist_t> dist_local, std::span<const char> settled) {
+std::vector<vid_t> ReachedSet::collect(std::span<const dist_t> dist,
+                                       std::uint64_t k,
+                                       std::uint32_t delta) const {
+  std::vector<vid_t> members;
+  for_each([&](vid_t local) {
+    if (bucket_of(dist[local], delta) == k) members.push_back(local);
+  });
+  return members;
+}
+
+std::vector<vid_t> ReachedSet::collect_all() const {
   std::vector<vid_t> out;
-  for (vid_t local = 0; local < dist_local.size(); ++local) {
-    if (!settled[local] && dist_local[local] != kInfDist) {
-      out.push_back(local);
-    }
-  }
+  for_each([&](vid_t local) { out.push_back(local); });
   return out;
 }
 

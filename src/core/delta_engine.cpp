@@ -4,7 +4,6 @@
 #include <cassert>
 #include <string>
 
-#include "core/buckets.hpp"
 #include "core/hybrid.hpp"
 #include "core/load_balance.hpp"
 #include "core/push_pull.hpp"
@@ -79,7 +78,7 @@ DeltaEngine::DeltaEngine(RankCtx& ctx, const EngineShared& shared)
   lane_emitted_.resize(lanes);
   lane_load_.resize(lanes);
   lane_inserts_.resize(lanes);
-  lane_unsettled_.resize(lanes);
+  lane_tally_.resize(lanes);
 
   sync0_allreduces_ = ctx_.traffic().allreduces;
   sync0_barriers_ = ctx_.traffic().barriers;
@@ -105,8 +104,9 @@ void DeltaEngine::charge_activity_check() {
 
 DeltaEngine::BucketAdvance DeltaEngine::next_bucket(std::int64_t after) {
   TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan);
-  const std::uint64_t local = min_unsettled_bucket_above(
-      dist_, settled_, after, sh_.options->delta);
+  const std::uint64_t local =
+      reached_.min_bucket_above(dist_, after, sh_.options->delta);
+  // The model charges the paper's scan of the owned slice.
   model_bkt_ns_ += cost_.scan_cost(sh_.part.block_size());
   return ctx_.allreduce(BucketAdvance{local, settled_local_cum_},
                         BucketAdvanceOp{});
@@ -176,41 +176,65 @@ std::uint64_t DeltaEngine::apply_incoming(std::uint64_t frontier_k,
   return total;
 }
 
+bool DeltaEngine::improve(vid_t local, const RelaxMsg& m,
+                          ApplyTally& tally) {
+  if (m.nd >= dist_[local]) return false;
+  if (seeded_ && settled_[local]) {
+    // A preset-settled vertex only carried an upper bound; improving it
+    // reopens it (unsettle-on-improve). Strict-< guarantees the distance
+    // drops on every unsettle, so the sweep terminates.
+    settled_[local] = 0;
+    preset_[local] = 0;
+    ++tally.unsettled;
+    reached_.insert(local);
+  } else {
+    assert(!settled_[local] && "relaxation improved a settled vertex");
+    if (dist_[local] == kInfDist) {
+      tally.reached_weight += pull_weight(local);
+      reached_.insert(local);
+    }
+  }
+  dist_[local] = m.nd;
+  if (!changed_.empty()) changed_[local] = 1;
+  if (!parent_.empty()) parent_[local] = m.pred;
+  return true;
+}
+
+bool DeltaEngine::joins_frontier(vid_t local, dist_t nd,
+                                 std::uint64_t frontier_k,
+                                 InsertMode mode) const {
+  if (mode == InsertMode::kNone || in_frontier_[local]) return false;
+  return mode != InsertMode::kBucket ||
+         bucket_of(nd, sh_.options->delta) == frontier_k;
+}
+
+void DeltaEngine::fold_tally(const ApplyTally& tally) {
+  settled_local_cum_ -= tally.unsettled;
+  reached_.retire_unreached(tally.reached_weight);
+}
+
+std::uint64_t DeltaEngine::pull_weight(vid_t local) const {
+  return unreached_pull_weight(view_, local, sh_.options->ios);
+}
+
 void DeltaEngine::apply_serial(std::uint64_t frontier_k, InsertMode mode) {
-  const std::uint32_t delta = sh_.options->delta;
+  ApplyTally tally;
   for (const auto& batch : relax_pool_.incoming()) {
     for (const RelaxMsg& m : batch) {
       const vid_t local = to_local(m.v);
       assert(local < nloc_);
-      if (m.nd >= dist_[local]) continue;
-      if (seeded_) {
-        // A preset-settled vertex only carried an upper bound; improving
-        // it reopens it (unsettle-on-improve). Strict-< guarantees the
-        // distance drops on every unsettle, so the sweep terminates.
-        if (settled_[local]) {
-          settled_[local] = 0;
-          preset_[local] = 0;
-          --settled_local_cum_;
-        }
-      } else {
-        assert(!settled_[local] && "relaxation improved a settled vertex");
-      }
-      dist_[local] = m.nd;
-      if (!changed_.empty()) changed_[local] = 1;
-      if (!parent_.empty()) parent_[local] = m.pred;
-      if (mode == InsertMode::kNone || in_frontier_[local]) continue;
-      if (mode == InsertMode::kBucket &&
-          bucket_of(m.nd, delta) != frontier_k) {
+      if (!improve(local, m, tally) ||
+          !joins_frontier(local, m.nd, frontier_k, mode)) {
         continue;
       }
       in_frontier_[local] = 1;
       frontier_.push_back(local);
     }
   }
+  fold_tally(tally);
 }
 
 void DeltaEngine::apply_parallel(std::uint64_t frontier_k, InsertMode mode) {
-  const std::uint32_t delta = sh_.options->delta;
   const auto& batches = relax_pool_.incoming();
   const unsigned lanes = ctx_.pool().lanes();
 
@@ -225,14 +249,16 @@ void DeltaEngine::apply_parallel(std::uint64_t frontier_k, InsertMode mode) {
 
   // Each lane owns a contiguous destination-vertex range: dist_/parent_/
   // in_frontier_ writes are disjoint by construction, no atomics needed
-  // (the shared-memory analogue of the paper's L2-atomic relaxation).
-  const vid_t chunk = (nloc_ + lanes - 1) / lanes;
+  // (the shared-memory analogue of the paper's L2-atomic relaxation). The
+  // ranges are whole 64-vertex words, so each reached_ word has one writer.
+  const vid_t chunk = ((nloc_ + lanes - 1) / lanes + 63) / 64 * 64;
   ctx_.pool().run_on_lanes([&](unsigned lane) {
     const vid_t lo = std::min<vid_t>(nloc_, lane * chunk);
     const vid_t hi = std::min<vid_t>(nloc_, lo + chunk);
     auto& inserts = lane_inserts_[lane].value;
     inserts.clear();
-    lane_unsettled_[lane].value = 0;
+    ApplyTally& tally = lane_tally_[lane].value;
+    tally = {};
     if (lo >= hi) return;
     for (std::size_t i = 0; i < batches.size(); ++i) {
       const auto& batch = batches[i];
@@ -241,25 +267,8 @@ void DeltaEngine::apply_parallel(std::uint64_t frontier_k, InsertMode mode) {
         const vid_t local = to_local(m.v);
         assert(local < nloc_);
         if (local < lo || local >= hi) continue;
-        if (m.nd >= dist_[local]) continue;
-        if (seeded_) {
-          // Unsettle-on-improve, mirrored from apply_serial. settled_/
-          // preset_ writes stay inside this lane's vertex range; the
-          // settled count is summed from the per-lane counters below.
-          if (settled_[local]) {
-            settled_[local] = 0;
-            preset_[local] = 0;
-            ++lane_unsettled_[lane].value;
-          }
-        } else {
-          assert(!settled_[local] && "relaxation improved a settled vertex");
-        }
-        dist_[local] = m.nd;
-        if (!changed_.empty()) changed_[local] = 1;
-        if (!parent_.empty()) parent_[local] = m.pred;
-        if (mode == InsertMode::kNone || in_frontier_[local]) continue;
-        if (mode == InsertMode::kBucket &&
-            bucket_of(m.nd, delta) != frontier_k) {
+        if (!improve(local, m, tally) ||
+            !joins_frontier(local, m.nd, frontier_k, mode)) {
           continue;
         }
         in_frontier_[local] = 1;
@@ -267,11 +276,7 @@ void DeltaEngine::apply_parallel(std::uint64_t frontier_k, InsertMode mode) {
       }
     }
   });
-  if (seeded_) {
-    for (unsigned l = 0; l < lanes; ++l) {
-      settled_local_cum_ -= lane_unsettled_[l].value;
-    }
-  }
+  for (unsigned l = 0; l < lanes; ++l) fold_tally(lane_tally_[l].value);
 
   if (mode == InsertMode::kNone) return;
   // Frontier order is observable (it decides next phase's emission order,
@@ -386,7 +391,7 @@ bool DeltaEngine::decide_long_mode(std::uint64_t k) {
   if (!need_estimates) return pull;
 
   const PushPullLocal local = estimate_push_pull_local(
-      view_, dist_, settled_, members_, k, o.delta, o.estimator,
+      view_, dist_, members_, reached_, k, o.delta, o.estimator,
       sh_.max_weight != 0 ? sh_.max_weight : sh_.graph->max_weight(), o.ios);
   const PpReduce global = ctx_.allreduce(
       PpReduce{local.push_volume, local.pull_requests, local.push_volume,
@@ -603,7 +608,7 @@ void DeltaEngine::process_epoch(std::uint64_t k) {
   {
     TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan,
                     k);
-    frontier_ = collect_bucket_members(dist_, settled_, k, sh_.options->delta);
+    frontier_ = reached_.collect(dist_, k, sh_.options->delta);
     for (const vid_t u : frontier_) in_frontier_[u] = 1;
     model_bkt_ns_ += cost_.scan_cost(sh_.part.block_size());
   }
@@ -626,7 +631,10 @@ void DeltaEngine::process_epoch(std::uint64_t k) {
     // BktTime (it used to be an unattributed sliver of OtherTime).
     TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan,
                     k);
-    for (const vid_t u : members_) settled_[u] = 1;
+    for (const vid_t u : members_) {
+      settled_[u] = 1;
+      reached_.erase(u);
+    }
     settled_local_cum_ += members_.size();
   }
 }
@@ -638,7 +646,7 @@ void DeltaEngine::bellman_ford_tail(std::uint64_t from_bucket) {
   {
     TimedSection sw(counters_.wall_bucket_time_s, tlane_, SpanCat::kBucketScan,
                     from_bucket);
-    frontier_ = collect_unsettled_reached(dist_, settled_);
+    frontier_ = reached_.collect_all();
     for (const vid_t u : frontier_) in_frontier_[u] = 1;
     model_bkt_ns_ += cost_.scan_cost(sh_.part.block_size());
   }
@@ -722,6 +730,8 @@ void DeltaEngine::run() {
           if (!parent_.empty()) parent_[to_local(sh_.root)] = sh_.root;
         }
       }
+      reached_.build(dist_, settled_,
+                     [this](vid_t v) { return pull_weight(v); });
       ctx_.barrier();
     }
 
@@ -749,6 +759,13 @@ void DeltaEngine::run() {
 }
 
 void DeltaEngine::finalize() {
+#ifndef NDEBUG
+  // reached_ was kept incrementally; a fresh pass must agree with it.
+  ReachedSet recount;
+  recount.build(dist_, settled_, [this](vid_t v) { return pull_weight(v); });
+  assert(recount.unreached_pull() == reached_.unreached_pull());
+  assert(recount == reached_ && "reached set drifted from the owned slice");
+#endif
   // Synchronization cost of the solve body (this final reduction included:
   // +1 below). Collective discipline makes the counts rank-identical, but
   // the reduction maxes anyway so a straggler shows rather than hides.

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/buckets.hpp"
 #include "core/dist_graph.hpp"
 #include "core/instrumentation.hpp"
 #include "core/options.hpp"
@@ -170,6 +171,23 @@ class DeltaEngine {
   void apply_serial(std::uint64_t frontier_k, InsertMode mode);
   void apply_parallel(std::uint64_t frontier_k, InsertMode mode);
 
+  /// What one apply did to rank-wide totals; lanes keep their own and the
+  /// rank thread folds them in (fold_tally).
+  struct ApplyTally {
+    std::uint64_t unsettled = 0;       ///< preset vertices reopened
+    std::uint64_t reached_weight = 0;  ///< pull weight of newly reached ones
+  };
+  /// Folds relaxation `m` into owned vertex `local`; false if it does not
+  /// improve. Writes only `local`'s entries, the reached_ word holding it
+  /// and `tally`, so lanes owning disjoint whole words may run it at once.
+  bool improve(vid_t local, const RelaxMsg& m, ApplyTally& tally);
+  /// Whether an improvement of `local` to `nd` puts it on the frontier.
+  bool joins_frontier(vid_t local, dist_t nd, std::uint64_t frontier_k,
+                      InsertMode mode) const;
+  void fold_tally(const ApplyTally& tally);
+  /// unreached_pull_weight of `local` under this solve's IOS setting.
+  std::uint64_t pull_weight(vid_t local) const;
+
   bool classification_active() const {
     return sh_.options->edge_classification &&
            !sh_.options->bellman_ford_regime();
@@ -189,6 +207,9 @@ class DeltaEngine {
   vid_t nloc_ = 0;
 
   std::vector<char> settled_;
+  /// Reached-but-unsettled owned vertices, kept in step with dist_ and
+  /// settled_ (finalize() rechecks this in Debug builds).
+  ReachedSet reached_;
   std::vector<std::uint64_t> member_stamp_;  ///< epoch when vertex joined B_k
   std::vector<vid_t> members_;               ///< settled set of current epoch
   std::vector<char> in_frontier_;
@@ -204,9 +225,9 @@ class DeltaEngine {
   /// bound until the sweep ends.
   std::vector<char> preset_;
   std::span<char> changed_;  ///< owned slice of EngineShared::changed
-  /// Per-lane unsettle counts of one parallel apply (lanes may not touch
-  /// settled_local_cum_ directly).
-  std::vector<CacheAligned<std::uint64_t>> lane_unsettled_;
+  /// Per-lane tallies of one parallel apply (lanes may not touch
+  /// settled_local_cum_ or reached_'s unreached weight directly).
+  std::vector<CacheAligned<ApplyTally>> lane_tally_;
 
   // Relax data path state. The pools are rank-thread-owned; worker lanes
   // only ever touch their own lane's shards (emission) or the disjoint

@@ -23,7 +23,7 @@ double expected_requests_for_vertex(std::uint64_t long_degree, dist_t dv,
 
 PushPullLocal estimate_push_pull_local(
     const LocalEdgeView& view, std::span<const dist_t> dist_local,
-    std::span<const char> settled, std::span<const vid_t> members,
+    std::span<const vid_t> members, const ReachedSet& candidates,
     std::uint64_t k, std::uint32_t delta, EstimatorKind estimator,
     weight_t max_weight, bool include_short_in_long_phase) {
   PushPullLocal local;
@@ -40,14 +40,13 @@ PushPullLocal estimate_push_pull_local(
     }
   }
 
-  // Pull side: later-bucket vertices request over qualifying arcs.
+  // Pull side: later-bucket vertices request over qualifying arcs. Reached
+  // ones are filtered by eq. (1); unreached ones request over every arc.
   double expected = 0.0;
-  for (vid_t v = 0; v < view.num_local(); ++v) {
-    if (settled[v]) continue;
+  candidates.for_each([&](vid_t v) {
     const dist_t dv = dist_local[v];
-    if (bucket_of(dv, delta) <= k) continue;  // current or settled-by-now
-    const dist_t bound =
-        dv == kInfDist ? kInfDist : dv - k * static_cast<dist_t>(delta);
+    if (bucket_of(dv, delta) <= k) return;  // current bucket
+    const dist_t bound = dv - k * static_cast<dist_t>(delta);
     switch (estimator) {
       case EstimatorKind::kExact:
         local.pull_requests += view.count_long_below(v, bound);
@@ -67,10 +66,11 @@ PushPullLocal estimate_push_pull_local(
         expected += static_cast<double>(view.short_degree(v));
       }
     }
-  }
+  });
   if (estimator != EstimatorKind::kExact) {
     local.pull_requests += static_cast<std::uint64_t>(std::llround(expected));
   }
+  local.pull_requests += candidates.unreached_pull();
   return local;
 }
 

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "core/buckets.hpp"
 #include "core/dist_graph.hpp"
 #include "core/options.hpp"
 #include "core/types.hpp"
@@ -34,14 +35,34 @@ struct PushPullLocal {
 
 /// Computes the local estimate.
 ///  - `members`: locals settled in the current epoch (bucket k).
-///  - `dist_local` / `settled`: owned tentative distances and settled flags.
+///  - `dist_local`: owned tentative distances.
+///  - `candidates`: the reached-but-unsettled owned vertices. The estimator
+///    runs over those in a bucket after k; every unsettled unreached vertex
+///    requests over all its qualifying arcs whatever k is, so that part is
+///    candidates.unreached_pull(), which must be built with
+///    unreached_pull_weight under the same `include_short_in_long_phase`.
 ///  - `include_short_in_long_phase`: true under IOS (outer-short edges are
 ///    relaxed in the long phase, and pulled over accordingly).
+/// Under kExact the estimate is an integer sum, equal to a pass over every
+/// unsettled owned vertex. Under kExpectation and kHistogram the unreached
+/// terms are added once, after the rounded sum over the candidates, so the
+/// estimate can differ from the interleaved pass by floating-point summation
+/// order (at most 1 request).
 PushPullLocal estimate_push_pull_local(
     const LocalEdgeView& view, std::span<const dist_t> dist_local,
-    std::span<const char> settled, std::span<const vid_t> members,
+    std::span<const vid_t> members, const ReachedSet& candidates,
     std::uint64_t k, std::uint32_t delta, EstimatorKind estimator,
     weight_t max_weight, bool include_short_in_long_phase);
+
+/// Pull requests an unreached vertex sends whatever the bucket: one per long
+/// arc, plus one per short arc under IOS. A ReachedSet built with this
+/// weight supplies the unreached part of estimate_push_pull_local.
+inline std::uint64_t unreached_pull_weight(const LocalEdgeView& view,
+                                           vid_t local,
+                                           bool include_short_in_long_phase) {
+  return view.long_degree(local) +
+         (include_short_in_long_phase ? view.short_degree(local) : 0);
+}
 
 /// Global decision inputs after reduction over ranks.
 struct PushPullGlobal {

@@ -1,5 +1,5 @@
 // Facade over the seeded mode of the Delta-stepping engine, for layers
-// that may not drive DeltaEngine directly (lint rule R9: src/update/
+// that may not drive DeltaEngine directly (analyzer check A3: src/update/
 // reaches the engines only through the solver/session facades).
 //
 // A seeded solve is a Delta-stepping sweep that starts from caller-provided

@@ -8,8 +8,8 @@ namespace parsssp {
 namespace {
 
 // All wall-clock reads go through the obs/ helpers (PhaseTimer /
-// TimedSection / ScopedSpan), same discipline as the other engines (lint
-// rule R8).
+// TimedSection / ScopedSpan), same discipline as the other engines
+// (analyzer check A5).
 
 /// Per-round accounting reduction: continuation flag, bottleneck work and
 /// bytes, total relaxations.

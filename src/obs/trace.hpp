@@ -20,7 +20,7 @@
 // are never overwritten, so an acquire load of the size yields a
 // consistent prefix.
 //
-// Lint rule R8 (scripts/lint.py): engine hot paths must not call
+// Analyzer check A5 (scripts/analysis/): engine hot paths must not call
 // steady_clock::now() directly — all wall-clock reads go through the
 // helpers in this header (PhaseTimer, TimedSection, ScopedSpan), so every
 // timed interval is visible to the trace and the sum-to-wall self-check.

@@ -69,12 +69,16 @@ TEST(HistogramEstimator, UsedByPushPullEstimate) {
   std::vector<char> settled(f.g.num_vertices(), 1);
   settled[0] = 0;
   const std::vector<vid_t> members;
-  const auto exact = estimate_push_pull_local(
-      f.view, dist, settled, members, 0, 10, EstimatorKind::kExact, 100,
-      false);
-  const auto hist = estimate_push_pull_local(
-      f.view, dist, settled, members, 0, 10, EstimatorKind::kHistogram, 100,
-      false);
+  ReachedSet candidates;
+  candidates.build(dist, settled, [&](vid_t v) {
+    return unreached_pull_weight(f.view, v, false);
+  });
+  const auto exact =
+      estimate_push_pull_local(f.view, dist, members, candidates, 0, 10,
+                               EstimatorKind::kExact, 100, false);
+  const auto hist =
+      estimate_push_pull_local(f.view, dist, members, candidates, 0, 10,
+                               EstimatorKind::kHistogram, 100, false);
   EXPECT_GT(hist.pull_requests, 0u);
   const double ratio = static_cast<double>(hist.pull_requests) /
                        static_cast<double>(exact.pull_requests);
